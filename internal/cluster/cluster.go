@@ -253,9 +253,10 @@ func WithSlicing(maxTasksPerSlice int) Option {
 	return func(c *Cluster) { c.sliceMax = maxTasksPerSlice }
 }
 
-// Cluster routes jobs across the devices of one context. A cluster
-// may execute several Run calls sequentially; each drains completely
-// before returning.
+// Cluster routes jobs across the devices of one context. Every run is
+// a Session: NewSession opens one for batched service mode, and Run
+// is a one-batch session that drains completely before returning. A
+// cluster may execute several runs sequentially.
 type Cluster struct {
 	ctx            *hstreams.Context
 	scheds         []*sched.Scheduler
@@ -273,13 +274,13 @@ type Cluster struct {
 	tel            *telemetry.Recorder
 
 	stagingBuf *hstreams.Buffer
-	// resStart snapshots the tracker's cumulative stats at Run entry,
+	// resStart snapshots the tracker's cumulative stats at run start,
 	// so the Result reports per-run eviction deltas while the cache
 	// itself stays warm across runs.
 	resStart residency.Stats
 
-	// Per-run state, reset by Run (or by NewSession, which then grows
-	// it batch by batch instead of sizing it up front).
+	// Per-run state, reset when a session opens (reset) and grown batch
+	// by batch as the session admits jobs.
 	queue       []*Queued
 	admitted    []*Queued // outcome index → admission record
 	outcomes    []Outcome
@@ -294,7 +295,7 @@ type Cluster struct {
 
 	// onOutcome streams each job's outcome the instant it becomes
 	// terminal (completed or failed) — the Session's per-job emission
-	// channel. nil (the batch Run default) disables streaming; notified
+	// channel. nil (as in a batch Run) disables streaming; notified
 	// guards every emission site so no outcome is streamed twice, and
 	// nterminal counts terminal outcomes for the session's drain
 	// accounting.
@@ -304,7 +305,7 @@ type Cluster struct {
 
 	// runStart anchors the run's elapsed-time accounting; linkBusy0 and
 	// kernBusy0 snapshot each device's cumulative sim.Server occupancy
-	// at Run entry (the servers accumulate across runs, the Result and
+	// at run start (the servers accumulate across runs, the Result and
 	// metrics report per-run deltas). telStaged accumulates the staging
 	// volume charged per device this run; tenantLat/tenantSeen feed the
 	// drain-instant per-tenant metrics when telemetry is enabled.
@@ -398,10 +399,7 @@ func New(ctx *hstreams.Context, opts ...Option) (*Cluster, error) {
 		}
 		c.resident = t
 	}
-	if b, ok := c.place.(clusterBinder); ok {
-		b.bind(c)
-	}
-	c.bindStealModel()
+	c.reset(nil) // binds the policies, so PricingModel works before a run
 	return c, nil
 }
 
@@ -547,18 +545,13 @@ func (c *Cluster) ensureStaging(n int) *hstreams.Buffer {
 }
 
 // validate rejects malformed jobs before any of them is admitted, so
-// an error leaves the cluster's state untouched. Shared by the batch
-// Run entry point and the session's per-batch Submit.
+// an error leaves the cluster's state untouched. Run and the session's
+// per-batch Submit both call it before admitting anything.
 func (c *Cluster) validate(jobs []Job) error {
 	for i := range jobs {
 		j := &jobs[i]
-		if len(j.Tasks) == 0 {
-			return fmt.Errorf("cluster: job %d (tenant %q) has no tasks", j.ID, j.Tenant)
-		}
-		for k, task := range j.Tasks {
-			if task == nil {
-				return fmt.Errorf("cluster: job %d (tenant %q) has nil task %d", j.ID, j.Tenant, k)
-			}
+		if err := sched.ValidateTasks(j.Tasks, c.sliceMax > 0); err != nil {
+			return fmt.Errorf("cluster: job %d (tenant %q) %w", j.ID, j.Tenant, err)
 		}
 		if j.Arrival < 0 {
 			return fmt.Errorf("cluster: job %d has negative arrival %v", j.ID, j.Arrival)
@@ -578,11 +571,6 @@ func (c *Cluster) validate(jobs []Job) error {
 		if err := residency.Validate(j.Writes); err != nil {
 			return fmt.Errorf("cluster: job %d writes: %w", j.ID, err)
 		}
-		if c.sliceMax > 0 {
-			if err := sched.Sliceable(j.Tasks); err != nil {
-				return fmt.Errorf("cluster: job %d (tenant %q): %w", j.ID, j.Tenant, err)
-			}
-		}
 	}
 	return nil
 }
@@ -590,93 +578,17 @@ func (c *Cluster) validate(jobs []Job) error {
 // Run admits every job at its arrival time, places them under the
 // configured policy until all complete, and returns the per-job,
 // per-device and per-tenant accounting. Arrival times earlier than the
-// context's current virtual time clamp to it.
+// context's current virtual time clamp to it. Run is a one-batch
+// Session (DESIGN.md §15) that admits the jobs in place, uncopied; on a
+// scheduling error it returns the partial Result, unrun jobs Failed.
 func (c *Cluster) Run(jobs []Job) (*Result, error) {
 	if err := c.validate(jobs); err != nil {
 		return nil, err
 	}
-	for _, s := range c.scheds {
-		s.Reset()
-	}
-	if b, ok := c.place.(clusterBinder); ok {
-		b.bind(c)
-	}
-	if r, ok := c.place.(resetter); ok {
-		r.reset()
-	}
-	c.bindStealModel()
-	c.queue = nil
-	c.admitted = make([]*Queued, len(jobs))
-	c.outcomes = make([]Outcome, len(jobs))
-	c.notified = make([]bool, len(jobs))
-	c.nterminal = 0
-	c.onOutcome = nil
-	c.submitted = make([][]int, len(c.scheds))
-	c.runFlops = 0
-	for i := range jobs {
-		for _, t := range jobs[i].Tasks {
-			if !t.TransferOnly {
-				c.runFlops += t.Cost.Flops
-			}
-		}
-	}
-	c.done = 0
-	c.steals = 0
-	c.preempts = 0
-	c.seq = 0
-	c.runErr = nil
-	if c.resident != nil {
-		// The cache itself persists across runs (a repeated workload
-		// runs warm); only the per-run stats baseline resets.
-		c.resStart = c.resident.Stats()
-	}
-	// Per-run occupancy baselines: the partition and DMA servers
-	// accumulate busy time across runs, so per-run utilization is a
-	// delta against Run entry.
-	c.linkBusy0 = make([]sim.Duration, len(c.scheds))
-	c.kernBusy0 = make([]sim.Duration, len(c.scheds))
-	c.telStaged = make([]int64, len(c.scheds))
-	c.telHit, c.telMiss = 0, 0
-	for d := range c.scheds {
-		c.linkBusy0[d] = c.ctx.Link(d).TotalBusy()
-		c.kernBusy0[d] = c.kernelBusy(d)
-	}
-	if c.tel.Enabled() {
-		c.tenantLat = make(map[string]*tenantAccum)
-		c.tenantSeen = nil
-	}
-
-	eng := c.ctx.Engine()
-	runStart := eng.Now()
-	c.runStart = runStart
-	for i := range jobs {
-		job := &jobs[i]
-		idx := i
-		at := job.Arrival
-		if at < runStart {
-			at = runStart
-		}
-		eng.At(at, func() { c.admit(job, idx) })
-	}
-	eng.Run()
-	if c.runErr == nil {
-		for _, s := range c.scheds {
-			if err := s.Err(); err != nil {
-				c.runErr = err
-				break
-			}
-		}
-	}
-	if c.runErr != nil {
-		// Mirror the sched error path: the partial result lists every
-		// admitted job, the unrun ones flagged Failed, instead of
-		// silently dropping the committed and cluster-queued backlog.
-		return c.summarize(runStart), c.runErr
-	}
-	if c.done != len(jobs) {
-		return nil, fmt.Errorf("cluster: internal error: %d of %d jobs completed", c.done, len(jobs))
-	}
-	return c.summarize(runStart), nil
+	s, _ := c.NewSession(nil) // opening a session cannot fail
+	c.enqueue(jobs)
+	_, err := s.RunEpoch()
+	return s.Result(), err
 }
 
 // emitOutcome streams outcome idx to the session's per-job sink the
@@ -711,7 +623,7 @@ func (c *Cluster) admit(job *Job, idx int) {
 	c.outcomes[idx] = Outcome{
 		Index:      idx,
 		ID:         job.ID,
-		Tenant:     tenantOf(job),
+		Tenant:     telemetry.TenantLabel(job.Tenant),
 		Arrival:    c.ctx.Now(),
 		Est:        est,
 		Device:     -1,
@@ -724,7 +636,7 @@ func (c *Cluster) admit(job *Job, idx int) {
 		c.outcomes[idx].Failed = true
 		if c.tel.Enabled() {
 			c.tel.Emit(telemetry.Event{At: c.ctx.Now(), Kind: telemetry.Fail,
-				Job: idx, ID: job.ID, Tenant: tenantOf(job), Device: -1, From: -1, Stream: -1})
+				Job: idx, ID: job.ID, Tenant: telemetry.TenantLabel(job.Tenant), Device: -1, From: -1, Stream: -1})
 		}
 		c.emitOutcome(idx)
 		return
@@ -736,7 +648,7 @@ func (c *Cluster) admit(job *Job, idx int) {
 	c.seq++
 	if c.tel.Enabled() {
 		c.tel.Emit(telemetry.Event{At: c.ctx.Now(), Kind: telemetry.Admit,
-			Job: idx, ID: job.ID, Tenant: tenantOf(job), Device: -1, From: -1, Stream: -1, Dur: est,
+			Job: idx, ID: job.ID, Tenant: telemetry.TenantLabel(job.Tenant), Device: -1, From: -1, Stream: -1, Dur: est,
 			Deadline: job.Deadline})
 	}
 	c.dispatch()
@@ -756,7 +668,7 @@ func (c *Cluster) fail(err error) {
 		c.outcomes[q.idx].Failed = true
 		if c.tel.Enabled() {
 			c.tel.Emit(telemetry.Event{At: c.ctx.Now(), Kind: telemetry.Fail,
-				Job: q.idx, ID: q.Job.ID, Tenant: tenantOf(q.Job), Device: -1, From: -1, Stream: -1})
+				Job: q.idx, ID: q.Job.ID, Tenant: telemetry.TenantLabel(q.Job.Tenant), Device: -1, From: -1, Stream: -1})
 		}
 		c.emitOutcome(q.idx)
 	}
@@ -814,7 +726,7 @@ func (c *Cluster) dispatch() {
 		c.queue = c.queue[1:]
 		if c.tel.Enabled() {
 			e := telemetry.Event{At: c.ctx.Now(), Kind: telemetry.Place,
-				Job: q.idx, ID: q.Job.ID, Tenant: tenantOf(q.Job),
+				Job: q.idx, ID: q.Job.ID, Tenant: telemetry.TenantLabel(q.Job.Tenant),
 				Device: eligible[pick].Device, From: -1, Stream: -1}
 			if sc, ok := c.place.(Scorer); ok {
 				// The scoring pass re-runs the policy's pricing against
@@ -902,7 +814,7 @@ func (c *Cluster) route(q *Queued, dev int) {
 			c.telHit += hit
 			if hit > 0 && c.tel.Enabled() {
 				c.tel.Emit(telemetry.Event{At: c.ctx.Now(), Kind: telemetry.Hit,
-					Job: idx, ID: job.ID, Tenant: tenantOf(job), Device: dev, From: -1, Stream: -1, Bytes: hit})
+					Job: idx, ID: job.ID, Tenant: telemetry.TenantLabel(job.Tenant), Device: dev, From: -1, Stream: -1, Bytes: hit})
 			}
 		}
 		q.missBytes = miss
@@ -936,7 +848,7 @@ func (c *Cluster) route(q *Queued, dev int) {
 			c.telStaged[dev] += charged
 			if c.tel.Enabled() {
 				c.tel.Emit(telemetry.Event{At: c.ctx.Now(), Kind: telemetry.Stage,
-					Job: idx, ID: job.ID, Tenant: tenantOf(job), Device: dev, From: -1, Stream: -1,
+					Job: idx, ID: job.ID, Tenant: telemetry.TenantLabel(job.Tenant), Device: dev, From: -1, Stream: -1,
 					Bytes: charged, Dur: q.stagingEst})
 			}
 		}
@@ -954,7 +866,7 @@ func (c *Cluster) route(q *Queued, dev int) {
 		c.outcomes[idx].Failed = true
 		if c.tel.Enabled() {
 			c.tel.Emit(telemetry.Event{At: c.ctx.Now(), Kind: telemetry.Fail,
-				Job: idx, ID: job.ID, Tenant: tenantOf(job), Device: dev, From: -1, Stream: -1})
+				Job: idx, ID: job.ID, Tenant: telemetry.TenantLabel(job.Tenant), Device: dev, From: -1, Stream: -1})
 		}
 		c.emitOutcome(idx)
 		c.fail(fmt.Errorf("cluster: job %d on device %d: %w", job.ID, dev, err))
@@ -1181,13 +1093,4 @@ func remainderNeeds(job *Job, next int) ([]residency.Region, int64) {
 		rem = append(rem, rr)
 	}
 	return rem, residency.TotalBytes(rem)
-}
-
-// tenantOf returns the job's tenant label, defaulting empty to
-// "default".
-func tenantOf(j *Job) string {
-	if j.Tenant == "" {
-		return "default"
-	}
-	return j.Tenant
 }

@@ -61,12 +61,13 @@ type Scorer interface {
 }
 
 // clusterBinder is implemented by policies that derive state from the
-// cluster (the platform model, the device count); New and Run call it
-// before the first placement.
+// cluster (the platform model, the device count); New and every
+// session opening (Run's included) call it before the first placement.
 type clusterBinder interface{ bind(*Cluster) }
 
-// resetter is implemented by stateful policies; Run calls it so every
-// run starts from the same policy state.
+// resetter is implemented by stateful policies; every session opening
+// (Run's included) calls it so each run starts from the same policy
+// state.
 type resetter interface{ reset() }
 
 // leastLoaded routes to the device holding the fewest jobs (running
@@ -99,7 +100,7 @@ type roundRobin struct {
 }
 
 // RoundRobin returns the rotating placement policy. The cursor is
-// per-run state: Run resets it.
+// per-run state: each Run or session resets it.
 func RoundRobin() Policy { return &roundRobin{} }
 
 // Name implements Policy.

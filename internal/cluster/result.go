@@ -7,7 +7,8 @@ import (
 
 // Outcome records one completed cluster job.
 type Outcome struct {
-	// Index is the job's position in the Run slice.
+	// Index is the job's outcome slot: its position in the Run slice,
+	// or its Submit base plus its offset in the session batch.
 	Index int
 	// ID and Tenant echo the job's labels.
 	ID     int
@@ -126,10 +127,10 @@ type DeviceStats struct {
 	// (makespan × streams): 1 means the device never idled.
 	Utilization float64
 	// KernelBusy and LinkBusy are this run's partition-server and
-	// DMA-server occupancy (sim.Server accounting, deltas against Run
-	// entry — the servers accumulate across runs). Unlike Busy, which
-	// counts whole-job stream occupancy including queueing inside the
-	// device, these measure the hardware models themselves.
+	// DMA-server occupancy (sim.Server accounting, deltas against the
+	// run's start — the servers accumulate across runs). Unlike Busy,
+	// which counts whole-job stream occupancy including queueing inside
+	// the device, these measure the hardware models themselves.
 	KernelBusy, LinkBusy sim.Duration
 	// KernelUtilization is KernelBusy over makespan × partitions;
 	// LinkUtilization is LinkBusy over the makespan. 1 means the
@@ -137,7 +138,8 @@ type DeviceStats struct {
 	KernelUtilization, LinkUtilization float64
 }
 
-// Result summarizes one cluster Run.
+// Result summarizes one cluster run: a batch Run, or a session's
+// epochs so far.
 type Result struct {
 	// Placement names the placement policy that routed the jobs.
 	Placement string
@@ -202,9 +204,9 @@ func (r *Result) Tenant(name string) *sched.TenantStats {
 }
 
 // summarize assembles the Result from the recorded outcomes.
-func (c *Cluster) summarize(runStart sim.Time) *Result {
+func (c *Cluster) summarize() *Result {
 	r := &Result{Placement: c.place.Name(), Jobs: c.outcomes}
-	end := runStart
+	end := c.runStart
 	devs := make([]DeviceStats, len(c.scheds))
 	for d := range devs {
 		devs[d].Device = d
@@ -238,7 +240,7 @@ func (c *Cluster) summarize(runStart sim.Time) *Result {
 	}
 	r.Steals = c.steals
 	r.Preempts = c.preempts
-	r.Makespan = end.Sub(runStart)
+	r.Makespan = end.Sub(c.runStart)
 	r.Tenants = sched.AggregateTenants(schedOutcomes, r.Makespan)
 	parts := c.ctx.Config().Partitions
 	for d := range devs {

@@ -29,26 +29,38 @@ import (
 // admission is the same deterministic event cascade as a batch run
 // (DESIGN.md §6).
 //
-// A Session borrows its Cluster exclusively: interleaving Run calls
-// or a second session with an open session corrupts both. Close the
-// session (or just abandon it) and the cluster is reusable — Run
-// resets everything a session touched.
+// A batch Cluster.Run is exactly this lifecycle with one batch: it
+// opens a session with no sink, admits its jobs at the opening
+// boundary, runs one epoch and returns the session's Result.
+//
+// A Session borrows its Cluster exclusively: a Run call or a second
+// session while this one is open corrupts both. Close the session (or
+// just abandon it) and the cluster is reusable — the next session,
+// Run's included, resets everything this one touched.
 type Session struct {
-	c        *Cluster
-	runStart sim.Time
-	total    int
-	epochs   int
-	running  bool
-	closed   bool
+	c       *Cluster
+	epochs  int
+	running bool
+	closed  bool
 }
 
 // NewSession opens service mode on the cluster: resets the per-run
-// state exactly like Run, then leaves the session open for batched
-// Submit/RunEpoch cycles. onOutcome (optional) receives every job's
-// terminal Outcome — completed or failed — exactly once, in virtual
-// completion order, from inside the engine's event cascade; it must
-// not call back into the session or the cluster.
+// state and anchors the run's clock at the current virtual instant,
+// then leaves the session open for batched Submit/RunEpoch cycles.
+// onOutcome (optional) receives every job's terminal Outcome —
+// completed or failed — exactly once, in virtual completion order,
+// from inside the engine's event cascade; it must not call back into
+// the session or the cluster.
 func (c *Cluster) NewSession(onOutcome func(Outcome)) (*Session, error) {
+	c.reset(onOutcome)
+	return &Session{c: c}, nil
+}
+
+// reset clears the per-run state — the one reset every lifecycle goes
+// through — and anchors the run's clock. The residency cache, the
+// telemetry recorder and the servers' busy time persist across runs;
+// the per-run accounting is a delta against the baselines taken here.
+func (c *Cluster) reset(onOutcome func(Outcome)) {
 	for _, s := range c.scheds {
 		s.Reset()
 	}
@@ -87,7 +99,7 @@ func (c *Cluster) NewSession(onOutcome func(Outcome)) (*Session, error) {
 		c.tenantLat = make(map[string]*tenantAccum)
 		c.tenantSeen = nil
 	}
-	return &Session{c: c, runStart: c.ctx.Engine().Now()}, nil
+	c.runStart = c.ctx.Engine().Now()
 }
 
 // Submit admits one batch at the current epoch boundary and returns
@@ -112,18 +124,25 @@ func (s *Session) Submit(jobs []Job) (base int, err error) {
 	if err := s.c.validate(jobs); err != nil {
 		return 0, err
 	}
-	eng := s.c.ctx.Engine()
-	batch := append([]Job(nil), jobs...)
-	base = len(s.c.outcomes)
-	s.c.outcomes = append(s.c.outcomes, make([]Outcome, len(batch))...)
-	s.c.admitted = append(s.c.admitted, make([]*Queued, len(batch))...)
-	s.c.notified = append(s.c.notified, make([]bool, len(batch))...)
+	return s.c.enqueue(append([]Job(nil), jobs...)), nil
+}
+
+// enqueue schedules a validated batch's admissions, each at its arrival
+// clamped to now, and returns its first outcome index; slots follow
+// batch order whatever the arrival order. Jobs are admitted by pointer:
+// Submit hands over a private copy, Run the caller's own slice.
+func (c *Cluster) enqueue(batch []Job) int {
+	eng := c.ctx.Engine()
+	base := len(c.outcomes)
+	c.outcomes = append(c.outcomes, make([]Outcome, len(batch))...)
+	c.admitted = append(c.admitted, make([]*Queued, len(batch))...)
+	c.notified = append(c.notified, make([]bool, len(batch))...)
 	now := eng.Now()
 	for i := range batch {
 		job := &batch[i]
 		for _, t := range job.Tasks {
 			if !t.TransferOnly {
-				s.c.runFlops += t.Cost.Flops
+				c.runFlops += t.Cost.Flops
 			}
 		}
 		idx := base + i
@@ -131,10 +150,9 @@ func (s *Session) Submit(jobs []Job) (base int, err error) {
 		if at < now {
 			at = now
 		}
-		eng.At(at, func() { s.c.admit(job, idx) })
+		eng.At(at, func() { c.admit(job, idx) })
 	}
-	s.total += len(batch)
-	return base, nil
+	return base
 }
 
 // RunEpoch drives the engine to the next quiescent boundary, draining
@@ -160,8 +178,8 @@ func (s *Session) RunEpoch() (completed int, err error) {
 			}
 		}
 	}
-	if s.c.runErr == nil && s.c.nterminal != s.total {
-		s.c.runErr = fmt.Errorf("cluster: internal error: %d of %d jobs terminal at epoch boundary", s.c.nterminal, s.total)
+	if s.c.runErr == nil && s.c.nterminal != len(s.c.outcomes) {
+		s.c.runErr = fmt.Errorf("cluster: internal error: %d of %d jobs terminal at epoch boundary", s.c.nterminal, len(s.c.outcomes))
 	}
 	return s.c.nterminal - before, s.c.runErr
 }
@@ -173,14 +191,14 @@ func (s *Session) Now() sim.Time { return s.c.ctx.Now() }
 func (s *Session) Epochs() int { return s.epochs }
 
 // Submitted reports the total jobs admitted across every batch.
-func (s *Session) Submitted() int { return s.total }
+func (s *Session) Submitted() int { return len(s.c.outcomes) }
 
 // Terminal reports how many jobs have reached a terminal outcome.
 func (s *Session) Terminal() int { return s.c.nterminal }
 
 // Pending reports admitted jobs not yet terminal — zero at every
 // epoch boundary of a healthy session.
-func (s *Session) Pending() int { return s.total - s.c.nterminal }
+func (s *Session) Pending() int { return len(s.c.outcomes) - s.c.nterminal }
 
 // Err reports the session's first scheduling error, if any.
 func (s *Session) Err() error { return s.c.runErr }
@@ -197,12 +215,11 @@ func (s *Session) Outcome(idx int) (o Outcome, ok bool) {
 // Result summarizes everything the session has run so far — the same
 // aggregate accounting a batch Run returns, computed over all epochs.
 // Valid at any epoch boundary; the session stays open.
-func (s *Session) Result() *Result {
-	return s.c.summarize(s.runStart)
-}
+func (s *Session) Result() *Result { return s.c.summarize() }
 
-// Close ends the session. The cluster is reusable afterwards (Run
-// resets all session state); the session itself rejects further use.
+// Close ends the session. The cluster is reusable afterwards (the next
+// session or Run resets all session state); the session itself
+// rejects further use.
 func (s *Session) Close() {
 	if s.closed {
 		return

@@ -7,6 +7,7 @@ import (
 
 	"micstream/internal/residency"
 	"micstream/internal/sim"
+	"micstream/internal/telemetry"
 )
 
 // sessionWorkload is the mixed scenario the session tests run: three
@@ -232,4 +233,110 @@ func TestSessionSubmitRejections(t *testing.T) {
 	if _, err := c.Run(sessionWorkload(4)); err != nil {
 		t.Fatalf("Run after session Close: %v", err)
 	}
+}
+
+// A session opened after an earlier run measures its drain-instant
+// metrics from its own opening instant: Elapsed, and every rate over
+// it, must not stretch back to the previous run's start.
+func TestSessionMetricsAnchorAtSessionStart(t *testing.T) {
+	rec := telemetry.NewRecorder()
+	c, err := New(newCtx(t, 2, 2, 2), WithTelemetry(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(sessionWorkload(8)); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := c.NewSession(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := sess.Now()
+	if start == 0 {
+		t.Fatal("the earlier run left the clock at 0; the test needs a later session start")
+	}
+	if _, err := sess.Submit(sessionWorkload(8)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	snaps := c.Metrics()
+	last := snaps[len(snaps)-1]
+	if last.At <= start {
+		t.Fatalf("last snapshot at %v, not after the session start %v", last.At, start)
+	}
+	if want := last.At.Sub(start); last.Elapsed != want {
+		t.Fatalf("snapshot Elapsed = %v, want At - session start = %v", last.Elapsed, want)
+	}
+	parts := c.Context().Config().Partitions
+	for _, d := range last.Devices {
+		want := d.KernelBusy.Seconds() / (last.Elapsed.Seconds() * float64(parts))
+		if d.Utilization != want {
+			t.Errorf("device %d utilization %.3f, want %.3f over the session span", d.Device, d.Utilization, want)
+		}
+	}
+}
+
+// Outcome slots follow submission order, not arrival order, through
+// both entry points: a batch Run and a two-batch session, with every
+// batch's arrivals reversed so its last job is admitted first.
+func TestOutcomeOrderFollowsInputOrder(t *testing.T) {
+	const n = 8
+	reversed := func(first int, from sim.Time) []Job {
+		jobs := make([]Job, n)
+		for i := range jobs {
+			at := from + sim.Time(n-i)*sim.Time(sim.Millisecond)/4
+			jobs[i] = syntheticJob(first+i, string(rune('A'+i%3)), at, 4e8+1e8*float64(i%5))
+		}
+		return jobs
+	}
+	check := func(t *testing.T, got []Outcome, want []Job) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("got %d outcomes, want %d", len(got), len(want))
+		}
+		for i, o := range got {
+			if o.ID != want[i].ID || o.Index != i || o.Arrival != want[i].Arrival {
+				t.Errorf("outcome %d = job %d (index %d, arrival %v), want job %d arriving at %v",
+					i, o.ID, o.Index, o.Arrival, want[i].ID, want[i].Arrival)
+			}
+		}
+	}
+
+	t.Run("Run", func(t *testing.T) {
+		c, err := New(newCtx(t, 2, 2, 2), WithStealing(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs := reversed(0, 0)
+		r, err := c.Run(jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, r.Jobs, jobs)
+	})
+
+	t.Run("Session", func(t *testing.T) {
+		c, err := New(newCtx(t, 2, 2, 2), WithStealing(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := c.NewSession(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var all []Job
+		for b := 0; b < 2; b++ {
+			batch := reversed(100*(b+1), sess.Now())
+			all = append(all, batch...)
+			if base, err := sess.Submit(batch); err != nil || base != b*n {
+				t.Fatalf("batch %d: Submit = (%d, %v), want (%d, nil)", b, base, err, b*n)
+			}
+			if _, err := sess.RunEpoch(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(t, sess.Result().Jobs, all)
+	})
 }

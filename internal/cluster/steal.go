@@ -170,7 +170,7 @@ func (c *Cluster) stealInto(thief int) bool {
 	c.steals++
 	if c.tel.Enabled() {
 		c.tel.Emit(telemetry.Event{At: now, Kind: telemetry.Steal,
-			Job: q.idx, ID: q.Job.ID, Tenant: tenantOf(q.Job),
+			Job: q.idx, ID: q.Job.ID, Tenant: telemetry.TenantLabel(q.Job.Tenant),
 			Device: thief, From: q.dev, Stream: -1, Dur: bestGain})
 	}
 	c.route(q, thief)
@@ -217,7 +217,7 @@ func (c *Cluster) preemptRemainder(q *Queued, victim, thief, pvNext int, remEst,
 	c.preempts++
 	if c.tel.Enabled() {
 		c.tel.Emit(telemetry.Event{At: now, Kind: telemetry.Preempt,
-			Job: q.idx, ID: q.Job.ID, Tenant: tenantOf(q.Job),
+			Job: q.idx, ID: q.Job.ID, Tenant: telemetry.TenantLabel(q.Job.Tenant),
 			Device: thief, From: victim, Stream: -1, Dur: gain})
 	}
 	c.route(q, thief)

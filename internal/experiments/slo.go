@@ -119,10 +119,7 @@ func StampDeadlines(jobs []cluster.Job, spec slo.Spec) {
 		if jobs[i].Deadline != 0 {
 			continue
 		}
-		tenant := jobs[i].Tenant
-		if tenant == "" {
-			tenant = "default"
-		}
+		tenant := telemetry.TenantLabel(jobs[i].Tenant)
 		for _, o := range spec.Objectives {
 			if o.Kind == slo.KindDeadline && o.TenantLabel() == tenant && o.Threshold > 0 {
 				jobs[i].Deadline = o.Threshold

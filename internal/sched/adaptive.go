@@ -5,6 +5,7 @@ import (
 
 	"micstream/internal/hstreams"
 	"micstream/internal/model"
+	"micstream/internal/telemetry"
 )
 
 // driftThreshold is how far the observed per-tenant work mix may move
@@ -75,7 +76,7 @@ func (p *adaptive) Pick(pending []*Pending, idle []int, v *View) (int, int) {
 		if !p.seen[pd.Seq] {
 			p.seen[pd.Seq] = true
 			e := p.m.ServiceTime(pd.Job.Tasks, p.partitions)
-			p.arrived[tenantOf(pd.Job)] += e.Seconds()
+			p.arrived[telemetry.TenantLabel(pd.Job.Tenant)] += e.Seconds()
 		}
 	}
 	p.replanIfDrifted()
@@ -91,7 +92,7 @@ func (p *adaptive) Pick(pending []*Pending, idle []int, v *View) (int, int) {
 	// Tenants with pending work, in sorted order for determinism.
 	byTenant := map[string]int{} // tenant → pending index of its oldest job
 	for i, pd := range pending {
-		tn := tenantOf(pd.Job)
+		tn := telemetry.TenantLabel(pd.Job.Tenant)
 		if at, ok := byTenant[tn]; !ok || pd.Seq < pending[at].Seq {
 			byTenant[tn] = i
 		}

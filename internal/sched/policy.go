@@ -40,8 +40,8 @@ func (*rr) Name() string { return "rr" }
 // reset implements resetter.
 func (p *rr) reset() { p.cursor = 0 }
 
-// resetter is implemented by stateful policies; Scheduler.Run calls
-// it so every run starts from the same policy state.
+// resetter is implemented by stateful policies; Reset (and therefore
+// Run) calls it so every run starts from the same policy state.
 type resetter interface{ reset() }
 
 // Pick implements Policy.

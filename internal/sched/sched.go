@@ -34,6 +34,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -180,11 +181,12 @@ func WithStreams(ids ...int) Option {
 }
 
 // Scheduler runs admission and dispatch over one hstreams context (or,
-// with WithStreams, over a slice of it). A scheduler may execute
-// several Run calls sequentially; each call drains completely before
-// returning. Alternatively an embedding layer drives it online:
-// Reset, then Submit at arrival instants, observing completions via
-// SetOnDone.
+// with WithStreams, over a slice of it). Every run begins at Reset.
+// Run resets, admits each job at its arrival instant and drains
+// completely before returning; an embedding layer drives the same
+// lifecycle online — Reset, then Submit at arrival instants, observing
+// completions via SetOnDone. Both entry points admit through one
+// validator, and a scheduler may execute several runs sequentially.
 type Scheduler struct {
 	ctx    *hstreams.Context
 	policy Policy
@@ -209,7 +211,7 @@ type Scheduler struct {
 	streamPart []int
 	nparts     int
 
-	// Per-run state, reset by Reset (and therefore by Run).
+	// Per-run state, cleared by Reset.
 	pending      []*Pending
 	busy         []bool
 	load         []sim.Duration
@@ -224,7 +226,7 @@ type Scheduler struct {
 
 // binder is implemented by policies that derive state from the
 // platform (e.g. a performance model built from the device and link
-// configs); Scheduler.Run calls it before the first dispatch.
+// configs); Reset calls it before the first dispatch.
 type binder interface{ bind(*hstreams.Context) }
 
 // New builds a scheduler over ctx.
@@ -291,15 +293,32 @@ func (s *Scheduler) Streams() []int { return append([]int(nil), s.streams...) }
 // copy Streams makes — the per-decision snapshot path uses it.
 func (s *Scheduler) NumStreams() int { return len(s.streams) }
 
-// validateJob rejects jobs the dispatch loop cannot execute.
-func validateJob(j *Job) error {
-	if len(j.Tasks) == 0 {
-		return fmt.Errorf("sched: job %d (tenant %q) has no tasks", j.ID, j.Tenant)
+// ValidateTasks is the task-list half of admission, shared by the
+// scheduler and the cluster layer: the list must be non-empty and
+// nil-free and, when slicing, dependency-ordered (Sliceable). The error
+// names neither layer nor job; each caller wraps it with both.
+func ValidateTasks(tasks []*core.Task, slicing bool) error {
+	if len(tasks) == 0 {
+		return errors.New("has no tasks")
 	}
-	for k, task := range j.Tasks {
+	for k, task := range tasks {
 		if task == nil {
-			return fmt.Errorf("sched: job %d (tenant %q) has nil task %d", j.ID, j.Tenant, k)
+			return fmt.Errorf("has nil task %d", k)
 		}
+	}
+	if slicing {
+		if err := Sliceable(tasks); err != nil {
+			return fmt.Errorf("is not sliceable: %w", err)
+		}
+	}
+	return nil
+}
+
+// validate rejects jobs the dispatch loop cannot execute; Run and
+// Submit both admit through it.
+func (s *Scheduler) validate(j *Job) error {
+	if err := ValidateTasks(j.Tasks, s.sliceMax > 0); err != nil {
+		return fmt.Errorf("sched: job %d (tenant %q) %w", j.ID, j.Tenant, err)
 	}
 	return nil
 }
@@ -319,13 +338,6 @@ func Sliceable(tasks []*core.Task) error {
 			}
 		}
 		seen[t.ID] = true
-	}
-	return nil
-}
-
-func validateSliceable(j *Job) error {
-	if err := Sliceable(j.Tasks); err != nil {
-		return fmt.Errorf("sched: job %d (tenant %q): %w", j.ID, j.Tenant, err)
 	}
 	return nil
 }
@@ -358,13 +370,8 @@ func (s *Scheduler) Reset() {
 // completion fields fill in at the completion instant, observable via
 // SetOnDone.
 func (s *Scheduler) Submit(job *Job) (int, error) {
-	if err := validateJob(job); err != nil {
+	if err := s.validate(job); err != nil {
 		return -1, err
-	}
-	if s.sliceMax > 0 {
-		if err := validateSliceable(job); err != nil {
-			return -1, err
-		}
 	}
 	if s.runErr != nil {
 		return -1, s.runErr
@@ -513,13 +520,8 @@ func (s *Scheduler) EarliestFree() sim.Time {
 // admitted-but-unrun job is flagged Failed.
 func (s *Scheduler) Run(jobs []Job) (*Result, error) {
 	for i := range jobs {
-		if err := validateJob(&jobs[i]); err != nil {
+		if err := s.validate(&jobs[i]); err != nil {
 			return nil, err
-		}
-		if s.sliceMax > 0 {
-			if err := validateSliceable(&jobs[i]); err != nil {
-				return nil, err
-			}
 		}
 		if jobs[i].Arrival < 0 {
 			return nil, fmt.Errorf("sched: job %d has negative arrival %v", jobs[i].ID, jobs[i].Arrival)
@@ -540,17 +542,10 @@ func (s *Scheduler) Run(jobs []Job) (*Result, error) {
 		eng.At(at, func() { s.admit(job, idx) })
 	}
 	eng.Run()
-	if s.runErr != nil {
-		// The partial result surfaces every admitted job — the ones the
-		// aborted dispatch loop never ran are flagged Failed — so the
-		// caller can account for the whole submission, not just the
-		// jobs that happened to finish before the error.
-		return s.summarize(runStart), s.runErr
+	if s.runErr == nil && s.done != len(jobs) {
+		s.runErr = fmt.Errorf("sched: internal error: %d of %d jobs completed", s.done, len(jobs))
 	}
-	if s.done != len(jobs) {
-		return nil, fmt.Errorf("sched: internal error: %d of %d jobs completed", s.done, len(jobs))
-	}
-	return s.summarize(runStart), nil
+	return s.summarize(runStart), s.runErr
 }
 
 // admit enqueues one arriving job and runs the dispatch loop. Arrivals
@@ -564,7 +559,7 @@ func (s *Scheduler) admit(job *Job, idx int) {
 	s.outcomes[idx] = JobOutcome{
 		Index:    idx,
 		ID:       job.ID,
-		Tenant:   tenantOf(job),
+		Tenant:   telemetry.TenantLabel(job.Tenant),
 		Arrival:  s.ctx.Now(),
 		Est:      est,
 		Stream:   -1,
@@ -574,7 +569,7 @@ func (s *Scheduler) admit(job *Job, idx int) {
 		s.outcomes[idx].Failed = true
 		if s.tel.Enabled() {
 			s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Fail, Job: s.telIdx(idx, job), ID: job.ID,
-				Tenant: tenantOf(job), Device: s.telDev, From: -1, Stream: -1})
+				Tenant: telemetry.TenantLabel(job.Tenant), Device: s.telDev, From: -1, Stream: -1})
 		}
 		if s.onDone != nil {
 			s.onDone(s.outcomes[idx])
@@ -585,7 +580,7 @@ func (s *Scheduler) admit(job *Job, idx int) {
 	// commitment, which the cluster logs itself as a Place event.
 	if s.tel.Enabled() && s.telDev < 0 {
 		s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Admit, Job: idx, ID: job.ID,
-			Tenant: tenantOf(job), Device: -1, From: -1, Stream: -1, Dur: est, Deadline: job.Deadline})
+			Tenant: telemetry.TenantLabel(job.Tenant), Device: -1, From: -1, Stream: -1, Dur: est, Deadline: job.Deadline})
 	}
 	s.pending = append(s.pending, &Pending{Job: job, Est: est, Seq: s.seq, idx: idx})
 	s.seq++
@@ -607,7 +602,7 @@ func (s *Scheduler) fail(err error) {
 		s.outcomes[p.idx].Failed = true
 		if s.tel.Enabled() {
 			s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Fail, Job: s.telIdx(p.idx, p.Job), ID: p.Job.ID,
-				Tenant: tenantOf(p.Job), Device: s.telDev, From: -1, Stream: -1})
+				Tenant: telemetry.TenantLabel(p.Job.Tenant), Device: s.telDev, From: -1, Stream: -1})
 		}
 		if s.onDone != nil {
 			s.onDone(s.outcomes[p.idx])
@@ -674,7 +669,7 @@ func (s *Scheduler) start(p *Pending, stream int) {
 	first := p.Next == 0
 	granted := s.ctx.Now()
 	s.busy[stream] = true
-	s.streamTenant[stream] = tenantOf(p.Job)
+	s.streamTenant[stream] = telemetry.TenantLabel(p.Job.Tenant)
 	s.load[stream] += est
 	s.freeAt[stream] = s.ctx.Now().Add(est)
 	s.outcomes[idx].Stream = global
@@ -688,7 +683,7 @@ func (s *Scheduler) start(p *Pending, stream int) {
 			kind = telemetry.Slice
 		}
 		s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: kind, Job: s.telIdx(idx, p.Job), ID: p.Job.ID,
-			Tenant: tenantOf(p.Job), Device: s.telDev, From: -1, Stream: global, Dur: est})
+			Tenant: telemetry.TenantLabel(p.Job.Tenant), Device: s.telDev, From: -1, Stream: global, Dur: est})
 	}
 
 	var inChunk map[int]bool
@@ -723,7 +718,7 @@ func (s *Scheduler) start(p *Pending, stream int) {
 		s.outcomes[idx].Failed = true
 		if s.tel.Enabled() {
 			s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Fail, Job: s.telIdx(idx, p.Job), ID: p.Job.ID,
-				Tenant: tenantOf(p.Job), Device: s.telDev, From: -1, Stream: global})
+				Tenant: telemetry.TenantLabel(p.Job.Tenant), Device: s.telDev, From: -1, Stream: global})
 		}
 		s.fail(fmt.Errorf("sched: job %d: %w", p.Job.ID, err))
 		if s.onDone != nil {
@@ -750,7 +745,7 @@ func (s *Scheduler) start(p *Pending, stream int) {
 			p.Est = s.Estimate(all[end:])
 			if s.tel.Enabled() {
 				s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Requeue, Job: s.telIdx(idx, p.Job), ID: p.Job.ID,
-					Tenant: tenantOf(p.Job), Device: s.telDev, From: -1, Stream: global,
+					Tenant: telemetry.TenantLabel(p.Job.Tenant), Device: s.telDev, From: -1, Stream: global,
 					Dur: s.ctx.Now().Sub(granted)})
 			}
 			s.requeue(p)
@@ -766,7 +761,7 @@ func (s *Scheduler) start(p *Pending, stream int) {
 		s.streamTenant[stream] = ""
 		if s.tel.Enabled() {
 			s.tel.Emit(telemetry.Event{At: s.ctx.Now(), Kind: telemetry.Complete, Job: s.telIdx(idx, p.Job), ID: p.Job.ID,
-				Tenant: tenantOf(p.Job), Device: s.telDev, From: -1, Stream: global,
+				Tenant: telemetry.TenantLabel(p.Job.Tenant), Device: s.telDev, From: -1, Stream: global,
 				Dur: s.outcomes[idx].Done.Sub(s.outcomes[idx].Start)})
 		}
 		s.dispatch()
@@ -1011,13 +1006,4 @@ func (s *Scheduler) summarize(runStart sim.Time) *Result {
 	r.JainSlowdown = stats.JainIndex(slowdowns)
 	r.JainThroughput = stats.JainIndex(throughputs)
 	return r
-}
-
-// tenantOf returns the job's tenant label, defaulting empty to
-// "default".
-func tenantOf(j *Job) string {
-	if j.Tenant == "" {
-		return "default"
-	}
-	return j.Tenant
 }

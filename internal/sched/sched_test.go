@@ -652,3 +652,31 @@ func TestWithdrawRemovesPendingJob(t *testing.T) {
 		t.Fatal(s.Err())
 	}
 }
+
+// Outcome slots follow submission order, not arrival order: with the
+// arrivals reversed, the last-submitted job is admitted first, yet
+// Result.Jobs[i] still reports jobs[i].
+func TestOutcomeOrderFollowsInputOrder(t *testing.T) {
+	const n = 8
+	var jobs []Job
+	for i := 0; i < n; i++ {
+		jobs = append(jobs, syntheticJob(100+i, string(rune('A'+i%2)), sim.Time(n-i)*sim.Time(sim.Millisecond), 5e8))
+	}
+	s, err := New(newCtx(t, 2), WithPolicy(FIFO()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Jobs) != n {
+		t.Fatalf("got %d outcomes, want %d", len(r.Jobs), n)
+	}
+	for i, o := range r.Jobs {
+		if o.ID != jobs[i].ID || o.Index != i || o.Arrival != jobs[i].Arrival {
+			t.Errorf("outcome %d = job %d (index %d, arrival %v), want job %d arriving at %v",
+				i, o.ID, o.Index, o.Arrival, jobs[i].ID, jobs[i].Arrival)
+		}
+	}
+}

@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"micstream/internal/sim"
+	"micstream/internal/telemetry"
 )
 
 // Objective kinds. A latency objective judges every completed job of
@@ -98,12 +99,7 @@ type Objective struct {
 
 // TenantLabel normalizes an objective's tenant to the schedulers'
 // accounting label (empty means "default").
-func (o *Objective) TenantLabel() string {
-	if o.Tenant == "" {
-		return "default"
-	}
-	return o.Tenant
-}
+func (o *Objective) TenantLabel() string { return telemetry.TenantLabel(o.Tenant) }
 
 // Spec is a set of objectives, evaluated together over one run.
 type Spec struct {

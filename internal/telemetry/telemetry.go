@@ -140,6 +140,17 @@ type Event struct {
 	Deadline sim.Duration
 }
 
+// TenantLabel is the accounting label of a job's tenant: the name
+// itself, or "default" when empty. Every layer that labels tenants —
+// the schedulers, the SLO objectives, the experiments — goes through
+// it, so an unnamed tenant's jobs and objectives always match.
+func TenantLabel(tenant string) string {
+	if tenant == "" {
+		return "default"
+	}
+	return tenant
+}
+
 // Recorder accumulates scheduling events and drain-instant metrics
 // snapshots. A nil *Recorder is a valid no-op sink, so hot paths can
 // emit unconditionally; emission sites that would build slices (Place
