@@ -1,7 +1,14 @@
 package experiments
 
 import (
+	"bufio"
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"micstream/internal/cluster"
@@ -15,7 +22,19 @@ import (
 // equality alone can mask compensating divergence inside a run, so
 // TestStudyCellResultsDeterministic additionally diffs complete
 // Result structs for one cell of each study.
+//
+// Repeat-equality cannot see a change that shifts every run the same
+// way, so the first run's rendering is also pinned: the SHA-256 of its
+// Table.Fprint bytes must match testdata/tables.sha256, one line per
+// registered ID. The digests are recorded on linux/amd64; after an
+// intended change to a table, regenerate the file with
+//
+//	go build -o micbench ./cmd/micbench
+//	for id in $(./micbench -list); do
+//		echo "$(./micbench -fig "$id" | sha256sum | cut -c1-64)  $id"
+//	done > internal/experiments/testdata/tables.sha256
 func TestExperimentsDeterministicAcrossRepeats(t *testing.T) {
+	digests := tableDigests(t)
 	for _, id := range IDs() {
 		id := id
 		g, ok := Lookup(id)
@@ -35,8 +54,49 @@ func TestExperimentsDeterministicAcrossRepeats(t *testing.T) {
 			if !reflect.DeepEqual(first, second) {
 				t.Errorf("experiment %q diverges across repeats", id)
 			}
+			var buf bytes.Buffer
+			if err := first.Fprint(&buf); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != digests[id] {
+				t.Errorf("experiment %q renders with digest %s, testdata/tables.sha256 records %q:\n%s",
+					id, got, digests[id], buf.String())
+			}
 		})
 	}
+}
+
+// tableDigests reads testdata/tables.sha256 (sha256sum format:
+// "<hex>  <id>") and fails unless it names exactly the registered IDs.
+func tableDigests(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/tables.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	digests := map[string]string{}
+	sc := bufio.NewScanner(bytes.NewReader(raw))
+	for sc.Scan() {
+		sum, id, ok := strings.Cut(sc.Text(), "  ")
+		if !ok || len(sum) != sha256.Size*2 {
+			t.Fatalf("testdata/tables.sha256: malformed line %q", sc.Text())
+		}
+		if _, dup := digests[id]; dup {
+			t.Fatalf("testdata/tables.sha256: %q listed twice", id)
+		}
+		digests[id] = sum
+	}
+	var recorded []string
+	for id := range digests {
+		recorded = append(recorded, id)
+	}
+	sort.Strings(recorded)
+	if ids := IDs(); !reflect.DeepEqual(recorded, ids) {
+		t.Fatalf("testdata/tables.sha256 records %d tables %v, the registry has %d %v",
+			len(recorded), recorded, len(ids), ids)
+	}
+	return digests
 }
 
 // TestStudyCellResultsDeterministic repeats one representative cell of
