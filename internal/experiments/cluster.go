@@ -5,8 +5,6 @@ import (
 
 	"micstream/internal/cluster"
 	"micstream/internal/hstreams"
-	"micstream/internal/sim"
-	"micstream/internal/stats"
 )
 
 func init() {
@@ -14,27 +12,22 @@ func init() {
 	register("cluster-scaling", ClusterScaling)
 }
 
-// clusterSeed fixes the arrival and size streams of both cluster
-// experiments.
-const clusterSeed = 2016
-
 // placementScenarios is the imbalance grid of the placement study:
 // from a homogeneous host-resident bag to a heavily skewed mix where
-// most jobs are device-resident and expensive to move. Spread is the
-// geometric job-size range, affinity the device-resident fraction,
-// xfer the per-job transfer (and staging) volume, window the arrival
-// span.
+// most jobs are device-resident and expensive to move.
 var placementScenarios = []struct {
-	name     string
-	spread   float64
-	affinity float64
-	xfer     int64
-	windowNs int64
+	name string
+	cfg  cluster.ScenarioConfig
 }{
-	{"balanced", 1, 0, 1 << 20, 20_000_000},
-	{"mild", 4, 0.25, 2 << 20, 15_000_000},
-	{"moderate", 8, 0.5, 4 << 20, 10_000_000},
-	{"severe", 8, 0.7, 8 << 20, 15_000_000},
+	{"balanced", cluster.ScenarioConfig{
+		Arrival: "bursty", SizeSpread: 1, Origins: []int{0, 1}, XferBytes: 1 << 20, WindowNs: 20_000_000,
+	}},
+	{"mild", cluster.ScenarioConfig{
+		Arrival: "bursty", SizeSpread: 4, AffinityFraction: 0.25,
+		Origins: []int{0, 1}, XferBytes: 2 << 20, WindowNs: 15_000_000,
+	}},
+	{"moderate", moderateMix},
+	{"severe", severeMix},
 }
 
 // runPlacementCell executes one (placement, scenario, seed) cell on a
@@ -42,70 +35,11 @@ var placementScenarios = []struct {
 // depth 8 — deep enough commitment that a load-blind placement's
 // mistakes show, shallow enough that late binding still happens.
 func runPlacementCell(place string, scIdx int, seed uint64) (*cluster.Result, error) {
-	sc := placementScenarios[scIdx]
-	ctx, err := hstreams.Init(hstreams.Config{Devices: 2, Partitions: 2, StreamsPerPartition: 2})
-	if err != nil {
-		return nil, err
-	}
-	jobs, err := cluster.BuildScenario(ctx, cluster.ScenarioConfig{
-		Seed:             seed,
-		Arrival:          "bursty",
-		SizeSpread:       sc.spread,
-		AffinityFraction: sc.affinity,
-		Origins:          []int{0, 1},
-		XferBytes:        sc.xfer,
-		WindowNs:         sc.windowNs,
-	})
-	if err != nil {
-		return nil, err
-	}
 	pol, err := cluster.ByName(place)
 	if err != nil {
 		return nil, err
 	}
-	c, err := cluster.New(ctx, cluster.WithPlacement(pol), cluster.WithQueueDepth(8))
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(jobs)
-}
-
-// runStaticBest runs the scenario pinned whole to each device in turn
-// and returns the better makespan — the bound the predicted policy's
-// contract is stated against.
-func runStaticBest(scIdx int, seed uint64) (sim.Duration, error) {
-	sc := placementScenarios[scIdx]
-	var best sim.Duration
-	for d := 0; d < 2; d++ {
-		ctx, err := hstreams.Init(hstreams.Config{Devices: 2, Partitions: 2, StreamsPerPartition: 2})
-		if err != nil {
-			return 0, err
-		}
-		jobs, err := cluster.BuildScenario(ctx, cluster.ScenarioConfig{
-			Seed:             seed,
-			Arrival:          "bursty",
-			SizeSpread:       sc.spread,
-			AffinityFraction: sc.affinity,
-			Origins:          []int{0, 1},
-			XferBytes:        sc.xfer,
-			WindowNs:         sc.windowNs,
-		})
-		if err != nil {
-			return 0, err
-		}
-		c, err := cluster.New(ctx, cluster.WithPlacement(cluster.Static(d)), cluster.WithQueueDepth(8))
-		if err != nil {
-			return 0, err
-		}
-		r, err := c.Run(jobs)
-		if err != nil {
-			return 0, err
-		}
-		if best == 0 || r.Makespan < best {
-			best = r.Makespan
-		}
-	}
-	return best, nil
+	return runCluster(2, scenario(placementScenarios[scIdx].cfg, seed), cluster.WithPlacement(pol), cluster.WithQueueDepth(8))
 }
 
 // Placement regenerates the placement-policy study: mean makespan of
@@ -129,27 +63,28 @@ func Placement() (*Table, error) {
 	}
 	const seeds = 5
 	for scIdx, sc := range placementScenarios {
-		row := []string{sc.name}
-		for _, place := range []string{"round-robin", "least-loaded", "predicted"} {
+		ms, err := seedMeans(seeds, func(seed uint64) ([]float64, error) {
 			var ms []float64
-			for s := uint64(0); s < seeds; s++ {
-				r, err := runPlacementCell(place, scIdx, clusterSeed+s)
+			for _, place := range []string{"round-robin", "least-loaded", "predicted"} {
+				r, err := runPlacementCell(place, scIdx, seed)
 				if err != nil {
 					return nil, err
 				}
 				ms = append(ms, r.Makespan.Milliseconds())
 			}
-			row = append(row, fmtMS(stats.Mean(ms)))
-		}
-		var ms []float64
-		for s := uint64(0); s < seeds; s++ {
-			best, err := runStaticBest(scIdx, clusterSeed+s)
+			best, err := staticBest(sc.cfg, seed, 8)
 			if err != nil {
 				return nil, err
 			}
-			ms = append(ms, best.Milliseconds())
+			return append(ms, best.Milliseconds()), nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		row = append(row, fmtMS(stats.Mean(ms)))
+		row := []string{sc.name}
+		for _, m := range ms {
+			row = append(row, fmtMS(m))
+		}
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("each cell averages %d seeded runs", seeds))

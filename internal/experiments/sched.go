@@ -5,17 +5,12 @@ import (
 
 	"micstream/internal/hstreams"
 	"micstream/internal/sched"
-	"micstream/internal/stats"
 )
 
 func init() {
 	register("fairness", Fairness)
 	register("imbalance", Imbalance)
 }
-
-// schedSeed fixes the arrival streams of both scheduler experiments;
-// with it, every cell below is a pure function of the code.
-const schedSeed = 2016
 
 // runSchedScenario executes one (policy, pattern, seed) cell on a
 // fresh platform of 4 partitions × 2 streams under bursty arrivals —
@@ -74,15 +69,17 @@ func Fairness() (*Table, error) {
 	for _, pattern := range sched.Patterns() {
 		row := []string{pattern}
 		for _, policy := range []string{"fifo", "rr", "sjf"} {
-			var jains []float64
-			for s := uint64(0); s < seeds; s++ {
-				r, err := runSchedScenario(policy, pattern, schedSeed+s)
+			jain, err := seedMeans(seeds, func(seed uint64) ([]float64, error) {
+				r, err := runSchedScenario(policy, pattern, seed)
 				if err != nil {
 					return nil, err
 				}
-				jains = append(jains, r.JainSlowdown)
+				return []float64{r.JainSlowdown}, nil
+			})
+			if err != nil {
+				return nil, err
 			}
-			row = append(row, fmt.Sprintf("%.3f", stats.Mean(jains)))
+			row = append(row, fmt.Sprintf("%.3f", jain[0]))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -101,7 +98,7 @@ func Imbalance() (*Table, error) {
 		Columns: []string{"pattern", "tenant", "jobs", "thrpt[job/s]", "p50[ms]", "p99[ms]", "slowdown"},
 	}
 	for _, pattern := range sched.Patterns() {
-		r, err := runSchedScenario("fifo", pattern, schedSeed)
+		r, err := runSchedScenario("fifo", pattern, clusterSeed)
 		if err != nil {
 			return nil, err
 		}

@@ -9,7 +9,6 @@ import (
 	"micstream/internal/hstreams"
 	"micstream/internal/sched"
 	"micstream/internal/sim"
-	"micstream/internal/stats"
 	"micstream/internal/workload"
 )
 
@@ -65,32 +64,27 @@ func convoyJobs(seed uint64) ([]cluster.Job, error) {
 	return jobs, nil
 }
 
-// runConvoyCell executes one seeded convoy run on the 2-MIC platform.
-// Both arms run whole-job stealing under the SJF device policy; the
-// treatment arm additionally slices (cap 0 disables).
-func runConvoyCell(seed uint64, sliceCap int) (*cluster.Result, error) {
-	ctx, err := hstreams.Init(hstreams.Config{Devices: 2, Partitions: 2, StreamsPerPartition: 2})
-	if err != nil {
-		return nil, err
-	}
-	jobs, err := convoyJobs(seed)
-	if err != nil {
-		return nil, err
-	}
-	opts := []cluster.Option{
+// convoyOptions is the convoy mix's cluster configuration: predicted
+// placement, queue depth 16, whole-job stealing and the SJF device
+// policy. It builds a fresh placement policy on every call.
+func convoyOptions() []cluster.Option {
+	return []cluster.Option{
 		cluster.WithPlacement(cluster.Predicted()),
 		cluster.WithQueueDepth(16),
 		cluster.WithStealing(0),
 		cluster.WithDevicePolicy(func() sched.Policy { return sched.SJF() }),
 	}
+}
+
+// runConvoyCell executes one seeded convoy run on the 2-MIC platform.
+// Both arms run whole-job stealing under the SJF device policy; the
+// treatment arm additionally slices (cap 0 disables).
+func runConvoyCell(seed uint64, sliceCap int) (*cluster.Result, error) {
+	opts := convoyOptions()
 	if sliceCap > 0 {
 		opts = append(opts, cluster.WithSlicing(sliceCap))
 	}
-	c, err := cluster.New(ctx, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(jobs)
+	return runCluster(2, func(*hstreams.Context) ([]cluster.Job, error) { return convoyJobs(seed) }, opts...)
 }
 
 // slicingGuards re-runs earlier studies' mixes with slicing toggled
@@ -100,63 +94,15 @@ func runConvoyCell(seed uint64, sliceCap int) (*cluster.Result, error) {
 // splits in half while each slice still pipelines two tiles' H2D and
 // kernel phases — cap 1 on the studies' 2-tile default would measure
 // the lost intra-job overlap, not the slicing machinery.
-var slicingGuards = []struct {
-	name string
-	run  func(seed uint64, sliceCap int) (*cluster.Result, error)
-}{
-	{"placement-moderate", func(seed uint64, cap int) (*cluster.Result, error) {
-		return runGuardCell(2, 8, cluster.ScenarioConfig{
-			Seed: seed, Arrival: "bursty", TilesPerJob: 4, SizeSpread: 8, AffinityFraction: 0.5,
-			Origins: []int{0, 1}, XferBytes: 4 << 20, WindowNs: 10_000_000,
-		}, cap)
-	}},
-	{"placement-severe", func(seed uint64, cap int) (*cluster.Result, error) {
-		return runGuardCell(2, 8, cluster.ScenarioConfig{
-			Seed: seed, Arrival: "bursty", TilesPerJob: 4, SizeSpread: 8, AffinityFraction: 0.7,
-			Origins: []int{0, 1}, XferBytes: 8 << 20, WindowNs: 15_000_000,
-		}, cap)
-	}},
-	{"stealing-stranded", func(seed uint64, cap int) (*cluster.Result, error) {
-		return runGuardCell(2, 16, cluster.ScenarioConfig{
-			Seed: seed, Arrival: "bursty", TilesPerJob: 4, SizeSpread: 4, AffinityFraction: 1,
-			Origins: []int{0}, XferBytes: 8 << 20, WindowNs: 10_000_000,
-		}, cap, cluster.WithStealing(0))
-	}},
-	{"residency-affinity", func(seed uint64, cap int) (*cluster.Result, error) {
-		return runGuardCell(4, 8, cluster.ScenarioConfig{
-			Seed: seed, Arrival: "bursty", TilesPerJob: 4, SizeSpread: 4, AffinityFraction: 1,
-			Origins: []int{0}, Datasets: 4, XferBytes: 8 << 20, WindowNs: 10_000_000,
-		}, cap, cluster.WithResidency(0))
-	}},
-}
-
-// runGuardCell executes one guard mix with or without slicing. The
-// placement mixes use Predicted; the residency guard swaps in Affinity
-// via devices==4 (matching the residency study's winning config).
-func runGuardCell(devices, depth int, cfg cluster.ScenarioConfig, sliceCap int, extra ...cluster.Option) (*cluster.Result, error) {
-	ctx, err := hstreams.Init(hstreams.Config{Devices: devices, Partitions: 2, StreamsPerPartition: 2})
-	if err != nil {
-		return nil, err
-	}
-	jobs, err := cluster.BuildScenario(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	place := cluster.Predicted()
-	if devices == 4 {
-		place = cluster.Affinity()
-	}
-	opts := append([]cluster.Option{
-		cluster.WithPlacement(place), cluster.WithQueueDepth(depth),
-	}, extra...)
-	if sliceCap > 0 {
-		opts = append(opts, cluster.WithSlicing(sliceCap))
-	}
-	c, err := cluster.New(ctx, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(jobs)
+var slicingGuards = []arm{
+	{"placement-moderate", 2, withTiles(moderateMix, 4), cluster.Predicted,
+		[]cluster.Option{cluster.WithQueueDepth(8)}},
+	{"placement-severe", 2, withTiles(severeMix, 4), cluster.Predicted,
+		[]cluster.Option{cluster.WithQueueDepth(8)}},
+	{"stealing-stranded", 2, withTiles(strandedMix, 4), cluster.Predicted,
+		[]cluster.Option{cluster.WithQueueDepth(16), cluster.WithStealing(0)}},
+	{"residency-affinity", 4, withTiles(datasetMix, 4), cluster.Affinity,
+		[]cluster.Option{cluster.WithQueueDepth(8), cluster.WithResidency(0)}},
 }
 
 // slicingRow is one (scenario, metric) comparison, seed-averaged.
@@ -172,21 +118,15 @@ type slicingRow struct {
 // tests assert the acceptance contract on these rows.
 func runSlicingStudy() ([]slicingRow, error) {
 	const seeds = 5
-	mean := func(xs []float64) float64 { return stats.Mean(xs) }
-	row := func(scenario, metric string, base, sliced, preempts []float64) slicingRow {
-		r := slicingRow{
-			scenario: scenario, metric: metric,
-			base: mean(base), sliced: mean(sliced), preempts: mean(preempts),
-		}
+	row := func(scenario, metric string, base, sliced, preempts float64) slicingRow {
+		r := slicingRow{scenario: scenario, metric: metric, base: base, sliced: sliced, preempts: preempts}
 		if r.base > 0 {
 			r.delta = (r.sliced - r.base) / r.base
 		}
 		return r
 	}
 
-	var p95b, p95s, mkb, mks, npre []float64
-	for s := uint64(0); s < seeds; s++ {
-		seed := clusterSeed + s
+	m, err := seedMeans(seeds, func(seed uint64) ([]float64, error) {
 		rb, err := runConvoyCell(seed, 0)
 		if err != nil {
 			return nil, err
@@ -199,34 +139,33 @@ func runSlicingStudy() ([]slicingRow, error) {
 		if tb == nil || ts == nil {
 			return nil, fmt.Errorf("convoy run lost the interactive tenant")
 		}
-		p95b = append(p95b, tb.P95.Milliseconds())
-		p95s = append(p95s, ts.P95.Milliseconds())
-		mkb = append(mkb, rb.Makespan.Milliseconds())
-		mks = append(mks, rs.Makespan.Milliseconds())
-		npre = append(npre, float64(rs.Preempts))
+		return []float64{tb.P95.Milliseconds(), ts.P95.Milliseconds(),
+			rb.Makespan.Milliseconds(), rs.Makespan.Milliseconds(), float64(rs.Preempts)}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	rows := []slicingRow{
-		row("convoy", "interactive p95", p95b, p95s, npre),
-		row("convoy", "makespan", mkb, mks, npre),
+		row("convoy", "interactive p95", m[0], m[1], m[4]),
+		row("convoy", "makespan", m[2], m[3], m[4]),
 	}
 
 	for _, g := range slicingGuards {
-		var base, sliced, pre []float64
-		for s := uint64(0); s < seeds; s++ {
-			seed := clusterSeed + s
-			rb, err := g.run(seed, 0)
+		m, err := seedMeans(seeds, func(seed uint64) ([]float64, error) {
+			rb, err := g.run(seed)
 			if err != nil {
 				return nil, err
 			}
-			rs, err := g.run(seed, 2)
+			rs, err := g.run(seed, cluster.WithSlicing(2))
 			if err != nil {
 				return nil, err
 			}
-			base = append(base, rb.Makespan.Milliseconds())
-			sliced = append(sliced, rs.Makespan.Milliseconds())
-			pre = append(pre, float64(rs.Preempts))
+			return []float64{rb.Makespan.Milliseconds(), rs.Makespan.Milliseconds(), float64(rs.Preempts)}, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, row(g.name, "makespan", base, sliced, pre))
+		rows = append(rows, row(g.name, "makespan", m[0], m[1], m[2]))
 	}
 	return rows, nil
 }

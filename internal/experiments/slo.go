@@ -7,7 +7,6 @@ import (
 	"micstream/internal/cluster"
 	"micstream/internal/hstreams"
 	"micstream/internal/obs"
-	"micstream/internal/sched"
 	"micstream/internal/sim"
 	"micstream/internal/slo"
 	"micstream/internal/telemetry"
@@ -51,37 +50,20 @@ type sloCell struct {
 // through composite hooks, and a budget exhaustion triggers a flight
 // dump — the same wiring the serve layer installs.
 func runSLOCell(mix string, seed uint64, spec slo.Spec) (*sloCell, error) {
-	ctx, err := hstreams.Init(hstreams.Config{Devices: 2, Partitions: 2, StreamsPerPartition: 2})
-	if err != nil {
-		return nil, err
-	}
-	var jobs []cluster.Job
-	opts := []cluster.Option{
-		cluster.WithPlacement(cluster.Predicted()),
-		cluster.WithQueueDepth(16),
-	}
+	var build jobsFn
+	var opts []cluster.Option
 	switch mix {
 	case "convoy":
-		jobs, err = convoyJobs(seed)
-		opts = append(opts,
-			cluster.WithStealing(0),
-			cluster.WithDevicePolicy(func() sched.Policy { return sched.SJF() }))
+		build = func(*hstreams.Context) ([]cluster.Job, error) { return convoyJobs(seed) }
+		opts = convoyOptions()
 	case "imbalance":
-		jobs, err = cluster.BuildScenario(ctx, cluster.ScenarioConfig{
-			Seed: seed, Arrival: "bursty", Tenants: 2, TilesPerJob: 4, SizeSpread: 4,
-			AffinityFraction: 1, Origins: []int{0}, XferBytes: 8 << 20, WindowNs: 10_000_000,
-		})
+		cfg := withTiles(strandedMix, 4)
+		cfg.Tenants = 2
+		build = scenario(cfg, seed)
+		opts = []cluster.Option{cluster.WithPlacement(cluster.Predicted()), cluster.WithQueueDepth(16)}
 	default:
 		return nil, fmt.Errorf("slo study: unknown mix %q", mix)
 	}
-	if err != nil {
-		return nil, err
-	}
-	// Deadline objectives judge each job's own declared budget: stamp
-	// the spec's deadline-kind threshold onto the matching tenant's
-	// jobs, as `miccluster -slo` does.
-	StampDeadlines(jobs, spec)
-
 	ev, err := slo.New(spec)
 	if err != nil {
 		return nil, err
@@ -99,12 +81,17 @@ func runSLOCell(mix string, seed uint64, spec slo.Spec) (*sloCell, error) {
 		ev.OnMetrics(m)
 		fl.OnMetrics(m)
 	})
-	opts = append(opts, cluster.WithTelemetry(rec))
-	c, err := cluster.New(ctx, opts...)
-	if err != nil {
-		return nil, err
-	}
-	r, err := c.Run(jobs)
+	r, err := runCluster(2, func(ctx *hstreams.Context) ([]cluster.Job, error) {
+		jobs, err := build(ctx)
+		if err != nil {
+			return nil, err
+		}
+		// Deadline objectives judge each job's own declared budget:
+		// stamp the spec's deadline-kind threshold onto the matching
+		// tenant's jobs, as `miccluster -slo` does.
+		StampDeadlines(jobs, spec)
+		return jobs, nil
+	}, append(opts, cluster.WithTelemetry(rec))...)
 	if err != nil {
 		return nil, err
 	}

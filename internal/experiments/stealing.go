@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"micstream/internal/cluster"
-	"micstream/internal/hstreams"
-	"micstream/internal/sim"
-	"micstream/internal/stats"
 )
 
 func init() {
@@ -14,21 +11,16 @@ func init() {
 }
 
 // stealingScenarios extends the placement study's imbalance grid with
-// the "stranded" mix — the Fig. 11 shape pushed to where eager
-// commitment visibly hurts: every job's inputs live on device 0,
-// staging is expensive, and a deep committed queue (depth 16) freezes
+// the stranded mix at a deep committed queue (depth 16), which freezes
 // placement decisions long before the mix's imbalance has played out.
 var stealingScenarios = []struct {
-	name             string
-	spread, affinity float64
-	origins          []int
-	xfer             int64
-	windowNs         int64
-	depth            int
+	name  string
+	cfg   cluster.ScenarioConfig
+	depth int
 }{
-	{"moderate", 8, 0.5, []int{0, 1}, 4 << 20, 10_000_000, 8},
-	{"severe", 8, 0.7, []int{0, 1}, 8 << 20, 15_000_000, 8},
-	{"stranded", 4, 1, []int{0}, 8 << 20, 10_000_000, 16},
+	{"moderate", moderateMix, 8},
+	{"severe", severeMix, 8},
+	{"stranded", strandedMix, 16},
 }
 
 // stealingRow is one scenario's seed-averaged measurements.
@@ -44,31 +36,11 @@ type stealingRow struct {
 // 2-device platform as the placement study.
 func runStealingCell(scIdx int, seed uint64, place cluster.Policy, steal bool) (*cluster.Result, error) {
 	sc := stealingScenarios[scIdx]
-	ctx, err := hstreams.Init(hstreams.Config{Devices: 2, Partitions: 2, StreamsPerPartition: 2})
-	if err != nil {
-		return nil, err
-	}
-	jobs, err := cluster.BuildScenario(ctx, cluster.ScenarioConfig{
-		Seed:             seed,
-		Arrival:          "bursty",
-		SizeSpread:       sc.spread,
-		AffinityFraction: sc.affinity,
-		Origins:          sc.origins,
-		XferBytes:        sc.xfer,
-		WindowNs:         sc.windowNs,
-	})
-	if err != nil {
-		return nil, err
-	}
 	opts := []cluster.Option{cluster.WithPlacement(place), cluster.WithQueueDepth(sc.depth)}
 	if steal {
 		opts = append(opts, cluster.WithStealing(0))
 	}
-	c, err := cluster.New(ctx, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(jobs)
+	return runCluster(2, scenario(sc.cfg, seed), opts...)
 }
 
 // runStealingStudy measures every scenario, seed-averaged; the
@@ -77,9 +49,7 @@ func runStealingStudy() ([]stealingRow, error) {
 	const seeds = 5
 	rows := make([]stealingRow, 0, len(stealingScenarios))
 	for scIdx, sc := range stealingScenarios {
-		var pred, steal, static, nsteals []float64
-		for s := uint64(0); s < seeds; s++ {
-			seed := clusterSeed + s
+		m, err := seedMeans(seeds, func(seed uint64) ([]float64, error) {
 			rp, err := runStealingCell(scIdx, seed, cluster.Predicted(), false)
 			if err != nil {
 				return nil, err
@@ -88,28 +58,17 @@ func runStealingStudy() ([]stealingRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			best := sim.Duration(0)
-			for d := 0; d < 2; d++ {
-				rst, err := runStealingCell(scIdx, seed, cluster.Static(d), false)
-				if err != nil {
-					return nil, err
-				}
-				if best == 0 || rst.Makespan < best {
-					best = rst.Makespan
-				}
+			best, err := staticBest(sc.cfg, seed, sc.depth)
+			if err != nil {
+				return nil, err
 			}
-			pred = append(pred, rp.Makespan.Milliseconds())
-			steal = append(steal, rs.Makespan.Milliseconds())
-			static = append(static, best.Milliseconds())
-			nsteals = append(nsteals, float64(rs.Steals))
+			return []float64{rp.Makespan.Milliseconds(), rs.Makespan.Milliseconds(),
+				best.Milliseconds(), float64(rs.Steals)}, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		row := stealingRow{
-			name:     sc.name,
-			pred:     stats.Mean(pred),
-			steal:    stats.Mean(steal),
-			static2x: stats.Mean(static),
-			steals:   stats.Mean(nsteals),
-		}
+		row := stealingRow{name: sc.name, pred: m[0], steal: m[1], static2x: m[2], steals: m[3]}
 		row.projected = row.static2x / 2
 		if gap := row.pred - row.projected; gap > 0 {
 			row.gapClosed = (row.pred - row.steal) / gap
