@@ -289,13 +289,17 @@ func main() {
 		}
 	}
 
+	cf := clusterFlags{
+		devices: *devices, partitions: *partitions, streams: *streams,
+		policy: *policy, depth: *depth, steal: *steal, slice: *slice,
+		staging: *staging, cache: *cache, cachecap: *cachecap,
+		njobs: *njobs * *scale, spread: *spread, affinity: *affinity,
+		datasets: *datasets, writefrac: *writefrac,
+		xfer: *xfer, origins: origin, arrival: *arrival, seed: *seed,
+		windowNs: window.Nanoseconds(), tenants: *tenants,
+	}
 	if *scaling {
-		runScaling(scalingFlags{
-			maxDevices: *devices, partitions: *partitions, streams: *streams,
-			policy: *policy, depth: *depth, steal: *steal, slice: *slice,
-			staging: *staging, cache: *cache, cachecap: *cachecap,
-			njobs: *njobs * *scale, seed: *seed, xfer: *xfer,
-		})
+		runScaling(cf)
 		finish()
 		return
 	}
@@ -370,15 +374,7 @@ func main() {
 		if sloEval != nil {
 			specPtr = &sloSpec
 		}
-		r, c := runOnce(name, clusterFlags{
-			devices: *devices, partitions: *partitions, streams: *streams,
-			policy: *policy, depth: *depth, steal: *steal, slice: *slice,
-			staging: *staging, cache: *cache, cachecap: *cachecap,
-			njobs: *njobs * *scale, spread: *spread, affinity: *affinity,
-			datasets: *datasets, writefrac: *writefrac,
-			xfer: *xfer, origins: origin, arrival: *arrival, seed: *seed,
-			windowNs: window.Nanoseconds(), tenants: *tenants,
-		}, rec, specPtr)
+		r, c := runOnce(name, cf, rec, specPtr)
 		printResult(r, name, *arrival, *seed, *cache != "off", *jobs)
 		if *metrics {
 			printMetrics(c.Metrics())
@@ -499,23 +495,16 @@ type clusterFlags struct {
 	tenants                      int
 }
 
-// runOnce builds a fresh cluster and runs the configured scenario,
-// returning the result and the cluster (for its telemetry accessors).
-// Flag names were validated in main; the factory below runs once per
-// device after validation cannot fail. A non-nil sloSpec stamps its
-// deadline-kind thresholds onto the matching tenants' jobs before the
-// run, so scheduler miss accounting and the evaluator judge the same
-// budget.
-func runOnce(place string, f clusterFlags, rec *micstream.Telemetry, sloSpec *micstream.SLOSpec) (*micstream.ClusterResult, *micstream.Cluster) {
-	pol, err := micstream.PlaceBy(place)
-	if err != nil {
-		fatal(err)
-	}
+// clusterOptions turns the cluster-shaping flags into options for a
+// cluster of devices MICs under placement. Flag names were validated
+// in main, so the device-policy factory, which runs once per device,
+// cannot fail.
+func clusterOptions(f clusterFlags, devices int, placement micstream.PlacementPolicy) []micstream.ClusterOption {
 	opts := []micstream.ClusterOption{
-		micstream.WithClusterDevices(f.devices),
+		micstream.WithClusterDevices(devices),
 		micstream.WithClusterPartitions(f.partitions),
 		micstream.WithClusterStreams(f.streams),
-		micstream.WithPlacement(pol),
+		micstream.WithPlacement(placement),
 		micstream.WithClusterQueueDepth(f.depth),
 		micstream.WithClusterDevicePolicy(func() micstream.SchedPolicy {
 			p, err := micstream.PolicyByName(f.policy)
@@ -537,6 +526,21 @@ func runOnce(place string, f clusterFlags, rec *micstream.Telemetry, sloSpec *mi
 	if f.cache == "lru" {
 		opts = append(opts, micstream.WithResidency(f.cachecap))
 	}
+	return opts
+}
+
+// runOnce builds a fresh cluster and runs the configured scenario,
+// returning the result and the cluster (for its telemetry accessors).
+// A non-nil sloSpec stamps its
+// deadline-kind thresholds onto the matching tenants' jobs before the
+// run, so scheduler miss accounting and the evaluator judge the same
+// budget.
+func runOnce(place string, f clusterFlags, rec *micstream.Telemetry, sloSpec *micstream.SLOSpec) (*micstream.ClusterResult, *micstream.Cluster) {
+	pol, err := micstream.PlaceBy(place)
+	if err != nil {
+		fatal(err)
+	}
+	opts := clusterOptions(f, f.devices, pol)
 	if rec != nil {
 		opts = append(opts, micstream.WithClusterTelemetry(rec))
 	}
@@ -684,20 +688,6 @@ func printMetrics(snaps []micstream.MetricsSnapshot) {
 	tw.Flush()
 }
 
-type scalingFlags struct {
-	maxDevices, partitions, streams int
-	policy                          string
-	depth                           int
-	steal                           time.Duration
-	slice                           int
-	staging                         float64
-	cache                           string
-	cachecap                        int64
-	njobs                           int
-	seed                            uint64
-	xfer                            int64
-}
-
 // runScaling prints the Fig. 11-style table: the same device-0-resident
 // bag of jobs on 1..devices MICs under predicted placement. The
 // workload *shape* is fixed by the mode (identical 6-GFLOP jobs, all
@@ -705,47 +695,22 @@ type scalingFlags struct {
 // the rows is the device count; -xfer, -staging, -policy, -depth and
 // -seed are honoured, the mix-shaping flags (-spread, -affinity,
 // -arrival, -window, -tenants) do not apply here.
-func runScaling(f scalingFlags) {
+func runScaling(f clusterFlags) {
 	fmt.Printf("multi-MIC scaling through the cluster scheduler (predicted placement, %d identical jobs resident on device 0)\n\n", f.njobs)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
 	fmt.Fprintln(tw, "devices\tmakespan\tGFLOPS\tspeedup\tprojected\tstaged")
 	// Powers of two up to the requested count, always including the
 	// requested count itself (so -devices=3 gets its own row).
 	counts := []int{1}
-	for d := 2; d < f.maxDevices; d *= 2 {
+	for d := 2; d < f.devices; d *= 2 {
 		counts = append(counts, d)
 	}
-	if f.maxDevices > 1 {
-		counts = append(counts, f.maxDevices)
+	if f.devices > 1 {
+		counts = append(counts, f.devices)
 	}
 	var base float64
 	for _, devs := range counts {
-		opts := []micstream.ClusterOption{
-			micstream.WithClusterDevices(devs),
-			micstream.WithClusterPartitions(f.partitions),
-			micstream.WithClusterStreams(f.streams),
-			micstream.WithClusterQueueDepth(f.depth),
-			micstream.WithClusterDevicePolicy(func() micstream.SchedPolicy {
-				p, err := micstream.PolicyByName(f.policy)
-				if err != nil {
-					fatal(err)
-				}
-				return p
-			}),
-		}
-		if f.steal > 0 {
-			opts = append(opts, micstream.WithClusterStealing(f.steal))
-		}
-		if f.slice > 0 {
-			opts = append(opts, micstream.WithClusterSlicing(f.slice))
-		}
-		if f.staging > 0 {
-			opts = append(opts, micstream.WithClusterStagingFactor(f.staging))
-		}
-		if f.cache == "lru" {
-			opts = append(opts, micstream.WithResidency(f.cachecap))
-		}
-		c, err := micstream.NewCluster(opts...)
+		c, err := micstream.NewCluster(clusterOptions(f, devs, micstream.PredictedPlacement())...)
 		if err != nil {
 			fatal(err)
 		}
