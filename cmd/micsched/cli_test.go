@@ -56,6 +56,8 @@ func TestCLIFlagMatrix(t *testing.T) {
 		{"explain below -1", []string{"-explain=-5"}, 2, "-explain: job index must be -1"},
 		{"bare run", []string{"-pattern=balanced"}, 0, "Jain index"},
 		{"explain", []string{"-pattern=balanced", "-explain=0"}, 0, "where time goes"},
+		// An index past the scenario fails up front, before the run.
+		{"explain out of range", []string{"-pattern=balanced", "-explain=100000"}, 2, "-explain: job index 100000 out of range [0,80)"},
 		{"list", []string{"-list"}, 0, "policies:"},
 	}
 	for _, tc := range cases {

@@ -96,6 +96,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// An out-of-range -explain is a command-line mistake: reject it
+	// before the run instead of after it.
+	if *explain >= len(scenario) {
+		usageError("-explain: job index %d out of range [0,%d)", *explain, len(scenario))
+	}
 	// Telemetry is only recorded when the run will be explained; a
 	// bare run keeps the zero-alloc disabled path.
 	var rec *micstream.Telemetry
