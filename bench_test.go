@@ -90,7 +90,7 @@ func BenchmarkClusterStealing(b *testing.B)   { benchFigure(b, "stealing") }
 func BenchmarkClusterResidency(b *testing.B)  { benchFigure(b, "residency") }
 
 // Ablations of the model's load-bearing terms and extensions beyond
-// the paper (see EXPERIMENTS.md §Extensions).
+// the paper (listed in the internal/experiments package doc).
 
 func BenchmarkAblationDuplex(b *testing.B)      { benchFigure(b, "ablation-duplex") }
 func BenchmarkAblationContention(b *testing.B)  { benchFigure(b, "ablation-contention") }

@@ -7,6 +7,8 @@
 #    comment before `package main`.
 # 2. Every relative markdown link or bare file reference in the
 #    top-level documents must point at a file that exists.
+# 3. Every NAME.md cited in a Go comment must exist, at the repo root
+#    or next to the citing file.
 #
 # Exits non-zero with a list of violations.
 set -eu
@@ -47,6 +49,18 @@ for doc in README.md DESIGN.md ROADMAP.md CHANGES.md; do
         [ -z "$path" ] && continue
         if [ ! -e "$path" ]; then
             echo "$doc: broken link -> $target"
+            fail=1
+        fi
+    done
+done
+
+# --- documents cited in Go comments -----------------------------------
+# Hidden directories (.git, build caches) are skipped.
+for f in $(find . -name '.?*' -prune -o -name '*.go' -print | sort); do
+    dir=$(dirname "$f")
+    for ref in $(grep -oE '//.*' "$f" | grep -oE '[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b' | sort -u); do
+        if [ ! -e "$ref" ] && [ ! -e "$dir/$ref" ]; then
+            echo "${f#./}: comment cites missing $ref"
             fail=1
         fi
     done
