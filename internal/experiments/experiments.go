@@ -1,26 +1,13 @@
-// Package experiments regenerates the paper's evaluation and the
-// studies built on it. Each generator returns a Table whose columns
-// mirror the experiment's axes:
-//
-//   - the paper's Figs. 5-11 and the §V-C search-space study
-//     ("heuristics"), the analytic model's validation and guided
-//     search ("modelval", "guided"), ablations of the model's
-//     load-bearing terms ("ablation-*") and extensions beyond the
-//     paper ("ext-*");
-//   - the scheduler studies: multi-tenant fairness and per-tenant load
-//     imbalance ("fairness", "imbalance");
-//   - the cluster studies: placement, cluster-scaling, work stealing,
-//     the residency cache and preemptive slicing ("placement",
-//     "cluster-scaling", "stealing", "residency", "slicing");
-//   - the observability studies: the model-drift audit and SLO
-//     objectives under stress ("drift", "slo").
-//
-// The scheduler and cluster studies share one harness (harness.go): a
-// cell runner on a fresh platform, a seeded scenario builder, the best
-// static pinning, a seed loop that averages what each cell reports,
-// and one declaration per shared mix. cmd/micbench renders the tables
-// (`micbench -list` names every ID) and bench_test.go wraps each one
-// in a testing.B benchmark.
+// Package experiments regenerates the paper's evaluation (Figs. 5-11,
+// the §V-C search-space study, model validation, ablations and
+// extensions) and the studies built on it: the scheduler studies
+// (fairness, imbalance), the cluster studies (placement,
+// cluster-scaling, stealing, residency, slicing) and the observability
+// studies (drift, slo). The scheduler and cluster studies share one
+// harness (harness.go). Each generator returns a Table whose columns
+// mirror the experiment's axes; cmd/micbench renders them (`micbench
+// -list` names every ID) and bench_test.go wraps each one in a
+// testing.B benchmark.
 //
 // Absolute numbers come from the calibrated platform model and are not
 // expected to equal the paper's testbed measurements; the shapes — who

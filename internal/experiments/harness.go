@@ -7,11 +7,6 @@ import (
 	"micstream/internal/stats"
 )
 
-// The scheduler and cluster studies share one harness: a seeded
-// scenario builder, a cell runner on a fresh platform, the best static
-// pinning, a seed loop that averages what each cell reports, and the
-// four mixes more than one study runs.
-
 // clusterSeed fixes the arrival and size streams of every scheduler
 // and cluster study; with it, every cell is a pure function of the
 // code.
